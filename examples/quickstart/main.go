@@ -53,7 +53,8 @@ func run() error {
 
 	// 2. Deploy into the model-serving runtime: the registry addresses
 	//    the model as "fall@1" (or by its content id), and concurrent
-	//    predictions coalesce into micro-batches behind admission control.
+	//    predictions queued behind a busy worker coalesce into one batch,
+	//    behind admission control.
 	rt := serving.New(serving.Config{})
 	defer rt.Close()
 	ref, err := rt.Registry().Register("fall", state.Model)

@@ -44,7 +44,7 @@ func trainedModel(t *testing.T, seed int64) ml.Classifier {
 }
 
 // testTier is a deterministic 3-replica in-process cluster on one fake
-// clock: MaxBatch 1 so predicts flush without advancing time.
+// clock.
 type testTier struct {
 	clk      *clock.Fake
 	cluster  *Cluster
@@ -58,7 +58,7 @@ func newTestTier(t *testing.T, n int, cfg Config) *testTier {
 	c := New(cfg)
 	tier := &testTier{clk: fake, cluster: c}
 	for i := 0; i < n; i++ {
-		rp := NewReplica(fmt.Sprintf("replica-%d", i), serving.Config{MaxBatch: 1, Clock: fake})
+		rp := NewReplica(fmt.Sprintf("replica-%d", i), serving.Config{Clock: fake})
 		tier.replicas = append(tier.replicas, rp)
 		if err := c.Join(rp); err != nil {
 			t.Fatalf("join %s: %v", rp.ID(), err)

@@ -23,13 +23,13 @@ func TestHTTPBackendRoundTrip(t *testing.T) {
 		HeartbeatExpiry:   time.Millisecond,
 	})
 
-	local := NewReplica("replica-local", serving.Config{MaxBatch: 1})
+	local := NewReplica("replica-local", serving.Config{})
 	defer local.Close()
 	if err := c.Join(local); err != nil {
 		t.Fatal(err)
 	}
 
-	remote := NewReplica("replica-remote", serving.Config{MaxBatch: 1})
+	remote := NewReplica("replica-remote", serving.Config{})
 	defer remote.Close()
 	srv := httptest.NewServer(remote.Handler())
 	defer srv.Close()
@@ -104,7 +104,6 @@ func TestHTTPBackendRoundTrip(t *testing.T) {
 // its Retry-After hint across the wire.
 func TestHTTPBackendOverloadedRoundTrip(t *testing.T) {
 	rp := NewReplica("replica-shed", serving.Config{
-		MaxBatch:      1,
 		QueueDepth:    4,
 		ShedWatermark: 1,
 		RetryAfter:    750 * time.Millisecond,

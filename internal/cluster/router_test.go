@@ -36,7 +36,7 @@ func newInstrumentedTier(t *testing.T, n int, cfg Config) (*Cluster, []*instrume
 	backs := make([]*instrumented, n)
 	for i := 0; i < n; i++ {
 		backs[i] = &instrumented{
-			Replica: NewReplica("replica-"+string(rune('a'+i)), serving.Config{MaxBatch: 1, Clock: fake}),
+			Replica: NewReplica("replica-"+string(rune('a'+i)), serving.Config{Clock: fake}),
 		}
 		if err := c.Join(backs[i]); err != nil {
 			t.Fatal(err)

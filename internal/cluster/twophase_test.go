@@ -39,7 +39,7 @@ func run2PCAbortScenario(t *testing.T) (errMsg string, stateJSON []byte) {
 	})
 	c := tier.cluster
 	// Third member: same replica machinery, but prepares hang.
-	hp := &hangingPrepare{Replica: NewReplica("replica-9", serving.Config{MaxBatch: 1, Clock: tier.clk})}
+	hp := &hangingPrepare{Replica: NewReplica("replica-9", serving.Config{Clock: tier.clk})}
 	t.Cleanup(hp.Replica.Close)
 	if err := c.Join(hp); err != nil {
 		t.Fatal(err)

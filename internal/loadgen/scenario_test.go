@@ -7,8 +7,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/ml"
@@ -33,11 +33,9 @@ func TestScenarioServingShedsUnderOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A long batching window plus a 2-instance watermark means most of
-	// the concurrent samples find the line full and are shed.
+	// A 2-instance watermark: every 3-instance request is over it on its
+	// own and is always shed, whatever the timing.
 	rt := serving.New(serving.Config{
-		MaxBatch:      4,
-		MaxWait:       20 * time.Millisecond,
 		Workers:       1,
 		QueueDepth:    8,
 		ShedWatermark: 2,
@@ -73,11 +71,25 @@ func TestScenarioServingShedsUnderOverload(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	sampler := &HTTPSampler{
+	// Samples alternate between a body admission control must shed and a
+	// 1-instance body that fits under the watermark.
+	over := &HTTPSampler{
+		Method: http.MethodPost,
+		URL:    srv.URL + "/predict",
+		Body:   []byte(`{"instances":[[2,0],[2,0],[2,0]]}`),
+	}
+	fits := &HTTPSampler{
 		Method: http.MethodPost,
 		URL:    srv.URL + "/predict",
 		Body:   []byte(`{"instances":[[2,0]]}`),
 	}
+	var n atomic.Int64
+	sampler := SamplerFunc(func(ctx context.Context) error {
+		if n.Add(1)%2 == 0 {
+			return over.Sample(ctx)
+		}
+		return fits.Sample(ctx)
+	})
 	res, err := Run(context.Background(), ThreadGroup{Threads: 8, Iterations: 4}, sampler)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@ import (
 
 // TestBatchKernelsMatchSerial asserts the tree-major batch kernels are
 // bit-identical to the per-instance PredictProba path — the serving
-// batcher swaps one for the other, so any drift would change served
+// runtime swaps one for the other, so any drift would change served
 // predictions depending on traffic shape.
 func TestBatchKernelsMatchSerial(t *testing.T) {
 	data := blobs(7, 238, 6, 3, 1.5)

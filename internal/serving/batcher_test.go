@@ -3,10 +3,12 @@ package serving
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/ml"
 	"repro/internal/telemetry"
 )
 
@@ -40,40 +42,130 @@ func histSeries(t *testing.T, tel *telemetry.Registry, name string) telemetry.Se
 	return telemetry.Series{}
 }
 
-// TestBatcherLatencyBoundFlush pins the exact virtual timeline of a
-// latency-bound flush: one queued instance sits until the fake clock
-// advances by MaxWait, then flushes as a batch of one whose recorded
-// batch latency is exactly MaxWait.
-func TestBatcherLatencyBoundFlush(t *testing.T) {
-	const maxWait = 2 * time.Millisecond
-	rt, fake, tel, ref := newTestRuntime(t, Config{MaxBatch: 64, MaxWait: maxWait, Workers: 1})
+// gatedModel wraps a classifier so a test can hold a worker busy: every
+// batch it scores first reports its size on sizes, then waits until gate
+// is closed. sizes is buffered (64, more batches than any test runs) so
+// reporting never blocks a worker once the gate is open.
+type gatedModel struct {
+	ml.Classifier
+	sizes chan int
+	gate  chan struct{}
+}
 
-	type result struct {
-		classes []int
-		err     error
+func (g *gatedModel) PredictProbaBatch(X [][]float64) [][]float64 {
+	g.sizes <- len(X)
+	<-g.gate
+	return ml.PredictProbaAll(g.Classifier, X)
+}
+
+// gateModel swaps a gatedModel in for ref's warm model, under the
+// registry lock as the registry itself would, and returns it.
+func gateModel(t *testing.T, rt *Runtime, ref Ref) *gatedModel {
+	t.Helper()
+	rt.reg.mu.Lock()
+	defer rt.reg.mu.Unlock()
+	e := rt.reg.entries[ref.ID]
+	if e.model == nil {
+		t.Fatal("registered model is not warm")
 	}
-	done := make(chan result, 1)
+	g := &gatedModel{Classifier: e.model, sizes: make(chan int, 64), gate: make(chan struct{})}
+	e.model = g
+	return g
+}
+
+// queued reports how many calls wait in ref's line queue.
+func queued(rt *Runtime, ref Ref) int {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	ln, ok := rt.lines[ref.ID]
+	if !ok {
+		return 0
+	}
+	return len(ln.queue)
+}
+
+type result struct {
+	probs   [][]float64
+	classes []int
+	err     error
+}
+
+// start runs one Predict in the background.
+func start(ctx context.Context, rt *Runtime, ref Ref, x [][]float64) chan result {
+	out := make(chan result, 1)
 	go func() {
-		_, classes, err := rt.Predict(context.Background(), ref.Name, [][]float64{{2, 0}})
-		done <- result{classes, err}
+		probs, classes, err := rt.Predict(ctx, ref.Name, x)
+		out <- result{probs, classes, err}
 	}()
+	return out
+}
 
-	// The batcher received the item and armed its MaxWait timer; nothing
-	// flushes until virtual time reaches the deadline.
-	fake.BlockUntil(1)
-	select {
-	case r := <-done:
-		t.Fatalf("flushed before the latency bound: %+v", r)
-	default:
+// hold starts a Predict and returns once the (single) worker is blocked
+// scoring it inside the gated model.
+func hold(t *testing.T, rt *Runtime, g *gatedModel, ref Ref, x [][]float64) chan result {
+	t.Helper()
+	out := start(context.Background(), rt, ref, x)
+	if n := <-g.sizes; n != len(x) {
+		t.Fatalf("held batch of %d, want %d", n, len(x))
 	}
+	return out
+}
 
-	fake.Advance(maxWait)
-	r := <-done
+// enqueue starts a Predict and returns once its call sits in the queue
+// behind the held worker, so calls queue in a known order.
+func enqueue(rt *Runtime, ref Ref, x [][]float64) chan result {
+	before := queued(rt, ref)
+	out := start(context.Background(), rt, ref, x)
+	for queued(rt, ref) == before {
+		time.Sleep(100 * time.Microsecond)
+	}
+	return out
+}
+
+// drainSizes collects the batch sizes the gated model saw, in order.
+func drainSizes(g *gatedModel) []int {
+	var sizes []int
+	for {
+		select {
+		case n := <-g.sizes:
+			sizes = append(sizes, n)
+		default:
+			return sizes
+		}
+	}
+}
+
+// wantServed checks a served call against a direct ml.PredictProbaAll on
+// the unwrapped model: served probabilities must be bit-identical.
+func wantServed(t *testing.T, g *gatedModel, x [][]float64, r result) {
+	t.Helper()
 	if r.err != nil {
-		t.Fatal(r.err)
+		t.Fatalf("call %v: %v", x, r.err)
 	}
-	if len(r.classes) != 1 || r.classes[0] != 1 {
-		t.Fatalf("classes %v, want [1]", r.classes)
+	want := ml.PredictProbaAll(g.Classifier, x)
+	if !reflect.DeepEqual(r.probs, want) {
+		t.Fatalf("call %v: probs %v, want %v", x, r.probs, want)
+	}
+	if !reflect.DeepEqual(r.classes, ml.ArgmaxAll(want)) {
+		t.Fatalf("call %v: classes %v, want %v", x, r.classes, ml.ArgmaxAll(want))
+	}
+}
+
+// TestLoneRequestCompletesAtOnce: an idle worker takes a lone request the
+// moment it is queued. No virtual time passes, no timer is armed, and the
+// request is one batch of one.
+func TestLoneRequestCompletesAtOnce(t *testing.T) {
+	rt, fake, tel, ref := newTestRuntime(t, Config{MaxBatch: 64, Workers: 1})
+
+	_, classes, err := rt.Predict(context.Background(), ref.Name, [][]float64{{2, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(classes) != 1 || classes[0] != 1 {
+		t.Fatalf("classes %v, want [1]", classes)
+	}
+	if n := fake.Pending(); n != 0 {
+		t.Fatalf("%d clock waiters pending, want 0", n)
 	}
 
 	size := histSeries(t, tel, "spatial_serving_batch_size")
@@ -81,8 +173,8 @@ func TestBatcherLatencyBoundFlush(t *testing.T) {
 		t.Fatalf("batch size count=%d sum=%v, want one batch of one", size.Count, size.Sum)
 	}
 	lat := histSeries(t, tel, "spatial_serving_batch_latency_seconds")
-	if lat.Count != 1 || lat.Sum != maxWait.Seconds() {
-		t.Fatalf("batch latency count=%d sum=%v, want exactly %v", lat.Count, lat.Sum, maxWait.Seconds())
+	if lat.Count != 1 || lat.Sum != 0 {
+		t.Fatalf("batch latency count=%d sum=%v, want exactly 0 (no virtual time passed)", lat.Count, lat.Sum)
 	}
 	if metricValue(t, tel, "spatial_serving_predictions_total") != 1 {
 		t.Fatal("predictions counter != 1")
@@ -92,11 +184,11 @@ func TestBatcherLatencyBoundFlush(t *testing.T) {
 	}
 }
 
-// TestBatcherSizeBoundFlush: a Predict carrying MaxBatch instances
-// flushes immediately — zero virtual time passes, so the recorded batch
-// latency is exactly 0 and the batch size exactly MaxBatch.
+// TestBatcherSizeBoundFlush: a Predict carrying MaxBatch instances is
+// scored at once as one batch — zero virtual time passes, so the recorded
+// batch latency is exactly 0 and the batch size exactly MaxBatch.
 func TestBatcherSizeBoundFlush(t *testing.T) {
-	rt, _, tel, ref := newTestRuntime(t, Config{MaxBatch: 3, MaxWait: time.Hour, Workers: 1})
+	rt, _, tel, ref := newTestRuntime(t, Config{MaxBatch: 3, Workers: 1})
 
 	probs, classes, err := rt.Predict(context.Background(), ref.Name,
 		[][]float64{{2, 0}, {-2, 0}, {2, 1}})
@@ -120,24 +212,127 @@ func TestBatcherSizeBoundFlush(t *testing.T) {
 	}
 }
 
+// TestQueuedCallsCoalesce: calls that queue while the worker is busy are
+// drained into one batch of their summed size, up to MaxBatch; the call
+// after that starts the next batch. Every call still gets exactly its own
+// rows.
+func TestQueuedCallsCoalesce(t *testing.T) {
+	rt, _, tel, ref := newTestRuntime(t, Config{MaxBatch: 4, Workers: 1})
+	g := gateModel(t, rt, ref)
+
+	xa := [][]float64{{2, 0}}
+	xb := [][]float64{{-2, 0}, {2, 1}}
+	xc := [][]float64{{1, -1}, {-1, 1}}
+	xd := [][]float64{{-2, 1}}
+	a := hold(t, rt, g, ref, xa)
+	b := enqueue(rt, ref, xb)
+	c := enqueue(rt, ref, xc)
+	d := enqueue(rt, ref, xd)
+	close(g.gate)
+
+	wantServed(t, g, xa, <-a)
+	wantServed(t, g, xb, <-b)
+	wantServed(t, g, xc, <-c)
+	wantServed(t, g, xd, <-d)
+	if sizes := drainSizes(g); !reflect.DeepEqual(sizes, []int{2 + 2, 1}) {
+		t.Fatalf("batches after the held one: %v, want [4 1]", sizes)
+	}
+	size := histSeries(t, tel, "spatial_serving_batch_size")
+	if size.Count != 3 || size.Sum != 6 {
+		t.Fatalf("batch size count=%d sum=%v, want three batches of six instances", size.Count, size.Sum)
+	}
+	if metricValue(t, tel, "spatial_serving_predictions_total") != 6 {
+		t.Fatal("predictions counter != 6")
+	}
+}
+
+// TestOversizedCallScoredWhole: a call larger than MaxBatch is never
+// split. It is scored as one batch, and nothing is drained in behind it.
+func TestOversizedCallScoredWhole(t *testing.T) {
+	rt, _, tel, ref := newTestRuntime(t, Config{MaxBatch: 2, Workers: 1})
+	g := gateModel(t, rt, ref)
+
+	xa := [][]float64{{2, 0}}
+	xb := [][]float64{{2, 0}, {-2, 0}, {2, 1}}
+	xc := [][]float64{{-2, 1}}
+	a := hold(t, rt, g, ref, xa)
+	b := enqueue(rt, ref, xb)
+	c := enqueue(rt, ref, xc)
+	close(g.gate)
+
+	wantServed(t, g, xa, <-a)
+	wantServed(t, g, xb, <-b)
+	wantServed(t, g, xc, <-c)
+	if sizes := drainSizes(g); !reflect.DeepEqual(sizes, []int{3, 1}) {
+		t.Fatalf("batches after the held one: %v, want [3 1]", sizes)
+	}
+	size := histSeries(t, tel, "spatial_serving_batch_size")
+	if size.Count != 3 || size.Sum != 5 {
+		t.Fatalf("batch size count=%d sum=%v, want three batches of five instances", size.Count, size.Sum)
+	}
+}
+
+// TestCoBatchedFailureIsolated: a call whose row panics the model (too
+// wide for the logreg kernel) shares a batch with well-formed calls. Every
+// well-formed call still gets its own correct answer; only the offending
+// call gets the error.
+func TestCoBatchedFailureIsolated(t *testing.T) {
+	rt, _, tel, ref := newTestRuntime(t, Config{Workers: 1})
+	g := gateModel(t, rt, ref)
+
+	xa := [][]float64{{2, 0}}
+	good1 := [][]float64{{2, 0}}
+	good2 := [][]float64{{2, 0}, {-2, 0}}
+	bad := [][]float64{{1, 2, 3, 4, 5}}
+	good3 := [][]float64{{-2, 1}}
+	a := hold(t, rt, g, ref, xa)
+	r1 := enqueue(rt, ref, good1)
+	r2 := enqueue(rt, ref, good2)
+	rb := enqueue(rt, ref, bad)
+	r3 := enqueue(rt, ref, good3)
+	close(g.gate)
+
+	wantServed(t, g, xa, <-a)
+	wantServed(t, g, good1, <-r1)
+	wantServed(t, g, good2, <-r2)
+	wantServed(t, g, good3, <-r3)
+	if r := <-rb; r.err == nil {
+		t.Fatal("too-wide row should surface as an error")
+	}
+	// The coalesced batch of five failed and was halved: the first half
+	// (good1, good2) scored as one batch; the second (bad, good3) failed
+	// again and was halved down to single calls.
+	if sizes := drainSizes(g); !reflect.DeepEqual(sizes, []int{5, 3, 2, 1, 1}) {
+		t.Fatalf("model calls after the held one: %v, want [5 3 2 1 1]", sizes)
+	}
+	size := histSeries(t, tel, "spatial_serving_batch_size")
+	if size.Count != 4 || size.Sum != 6 {
+		t.Fatalf("batch size count=%d sum=%v, want four completed batches of six instances", size.Count, size.Sum)
+	}
+	if metricValue(t, tel, "spatial_serving_predictions_total") != 5 {
+		t.Fatal("predictions counter != 5: only the served instances count")
+	}
+	if rt.InFlight() != 0 {
+		t.Fatalf("in-flight %d after completion", rt.InFlight())
+	}
+}
+
 // TestAdmissionControlSheds fills a line to its watermark and asserts the
 // next request is shed with an *OverloadedError carrying the configured
 // Retry-After, while the queued requests still complete.
 func TestAdmissionControlSheds(t *testing.T) {
-	cfg := Config{MaxBatch: 64, MaxWait: 2 * time.Millisecond, Workers: 1, QueueDepth: 8, ShedWatermark: 4}
-	rt, fake, tel, ref := newTestRuntime(t, cfg)
+	cfg := Config{Workers: 1, QueueDepth: 8, ShedWatermark: 4}
+	rt, _, tel, ref := newTestRuntime(t, cfg)
+	g := gateModel(t, rt, ref)
 
-	results := make(chan error, 4)
-	for i := 0; i < 4; i++ {
-		go func() {
-			_, _, err := rt.Predict(context.Background(), ref.Name, [][]float64{{2, 0}})
-			results <- err
-		}()
+	// Four slots: one call held in the worker, three queued behind it.
+	x := [][]float64{{2, 0}}
+	pending := []chan result{hold(t, rt, g, ref, x)}
+	for i := 0; i < 3; i++ {
+		pending = append(pending, enqueue(rt, ref, x))
 	}
-	// Wait until all four reservations are visible; they sit in the
-	// forming batch because the fake clock never reaches the deadline.
-	for rt.InFlightFor(ref.Name) != 4 {
-		time.Sleep(100 * time.Microsecond)
+	if n := rt.InFlightFor(ref.Name); n != 4 {
+		t.Fatalf("in-flight %d, want 4", n)
 	}
 
 	_, _, err := rt.Predict(context.Background(), ref.Name, [][]float64{{0, 0}})
@@ -155,20 +350,10 @@ func TestAdmissionControlSheds(t *testing.T) {
 		t.Fatal("shed counter != 1")
 	}
 
-	// Drain: release the forming batch and let the queued calls finish.
-	for done := 0; done < 4; {
-		select {
-		case err := <-results:
-			if err != nil {
-				t.Fatal(err)
-			}
-			done++
-		default:
-			if fake.Pending() > 0 {
-				fake.Advance(cfg.MaxWait)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
+	// Drain: release the worker and let the held and queued calls finish.
+	close(g.gate)
+	for _, out := range pending {
+		wantServed(t, g, x, <-out)
 	}
 	if rt.InFlight() != 0 {
 		t.Fatalf("in-flight %d after drain", rt.InFlight())
@@ -179,9 +364,9 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 }
 
-// TestPredictErrors covers the non-batching failure modes.
+// TestPredictErrors covers the failure modes outside admission control.
 func TestPredictErrors(t *testing.T) {
-	rt, fake, _, ref := newTestRuntime(t, Config{Workers: 1})
+	rt, _, _, ref := newTestRuntime(t, Config{Workers: 1})
 
 	if _, _, err := rt.Predict(context.Background(), "ghost", [][]float64{{0, 0}}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown ref: %v, want ErrNotFound", err)
@@ -190,58 +375,29 @@ func TestPredictErrors(t *testing.T) {
 		t.Fatal("empty batch should be a no-op")
 	}
 
-	// predictAsync starts a Predict, waits for its batch timer to arm,
-	// then releases it by advancing virtual time past the latency bound.
-	type result struct {
-		classes []int
-		err     error
-	}
-	predictAsync := func(instances [][]float64, ctx context.Context) chan result {
-		out := make(chan result, 1)
-		go func() {
-			_, classes, err := rt.Predict(ctx, ref.Name, instances)
-			out <- result{classes, err}
-		}()
-		fake.BlockUntil(1)
-		return out
-	}
-	// await advances virtual time whenever a batch timer is pending until
-	// the call completes (a batch may split if the deadline fires while
-	// instances are still queued).
-	await := func(out chan result) result {
-		for {
-			select {
-			case r := <-out:
-				return r
-			default:
-				if fake.Pending() > 0 {
-					fake.Advance(2 * time.Millisecond)
-				}
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-	}
-
-	// Context cancellation unblocks a waiting Predict.
+	// Context cancellation unblocks a Predict whose call the worker is
+	// still scoring.
+	g := gateModel(t, rt, ref)
 	ctx, cancel := context.WithCancel(context.Background())
-	out := predictAsync([][]float64{{2, 0}}, ctx)
+	out := start(ctx, rt, ref, [][]float64{{2, 0}})
+	<-g.sizes
 	cancel()
 	if r := <-out; !errors.Is(r.err, context.Canceled) {
 		t.Fatalf("cancelled Predict: %v", r.err)
 	}
-	fake.Advance(2 * time.Millisecond) // flush the abandoned batch
+	close(g.gate) // let the worker finish the abandoned call
 	for rt.InFlight() != 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
 
 	// A prediction panic (dimension mismatch) fails the call, not the
 	// worker: the runtime keeps serving afterwards.
-	if r := await(predictAsync([][]float64{{1, 2, 3, 4, 5}}, context.Background())); r.err == nil {
+	if _, _, err := rt.Predict(context.Background(), ref.Name, [][]float64{{1, 2, 3, 4, 5}}); err == nil {
 		t.Fatal("dimension mismatch should surface as an error")
 	}
-	r := await(predictAsync([][]float64{{2, 0}, {-2, 0}}, context.Background()))
-	if r.err != nil || r.classes[0] != 1 || r.classes[1] != 0 {
-		t.Fatalf("runtime dead after panic: %+v", r)
+	_, classes, err := rt.Predict(context.Background(), ref.Name, [][]float64{{2, 0}, {-2, 0}})
+	if err != nil || classes[0] != 1 || classes[1] != 0 {
+		t.Fatalf("runtime dead after panic: %v %v", classes, err)
 	}
 
 	rt.Close()

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/mat"
@@ -119,11 +118,12 @@ func benchmarkSerial(b *testing.B, m ml.Classifier) {
 	})
 }
 
-// benchmarkBatched measures the same traffic through the serving runtime:
-// 32 concurrent single-instance Predicts coalesced into micro-batches
-// executed by the tree-major batch kernels.
+// benchmarkBatched measures the same traffic through the serving runtime
+// in its deployed configuration: single-instance Predicts that queue
+// behind busy workers coalesce into batches executed by the tree-major
+// batch kernels.
 func benchmarkBatched(b *testing.B, m ml.Classifier) {
-	rt := New(Config{MaxBatch: benchConcurrency, MaxWait: 400 * time.Microsecond})
+	rt := New(Config{})
 	defer rt.Close()
 	ref, err := rt.Registry().Register("bench", m)
 	if err != nil {

@@ -20,7 +20,6 @@ func TestRuntimeConcurrentUse(t *testing.T) {
 	tel := telemetry.NewRegistry()
 	rt := New(Config{
 		MaxBatch:  8,
-		MaxWait:   200 * time.Microsecond,
 		Workers:   2,
 		WarmBytes: 1, // every cold load evicts: maximum cache churn
 		Telemetry: tel,

@@ -6,8 +6,8 @@ import (
 
 // defBatchSizeBuckets are the batch-size histogram bounds: powers of two
 // up to the default MaxBatch and one beyond, so the size distribution
-// shows whether flushes are size-bound (full batches) or latency-bound
-// (small ones).
+// shows how much coalescing contention produced (batches of one mean
+// every call found a free worker).
 var defBatchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // metrics bundles the runtime's telemetry handles. Every series is
@@ -68,7 +68,7 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		warmBytes: reg.Gauge("spatial_serving_warm_bytes",
 			"Serialized bytes of models currently warm in the registry cache.").With(),
 		queueDepth: reg.Gauge("spatial_serving_queue_depth",
-			"In-flight instances across all model lines (queued + batching + executing).").With(),
+			"In-flight instances across all model lines (queued + executing).").With(),
 		batchSize: reg.Histogram("spatial_serving_batch_size",
 			"Instances per executed micro-batch.", defBatchSizeBuckets).With(),
 		batchLatency: reg.Histogram("spatial_serving_batch_latency_seconds",

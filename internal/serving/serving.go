@@ -1,8 +1,9 @@
 // Package serving is the model-serving runtime every SPATIAL service
 // predicts through: a versioned, content-addressed model registry with an
-// LRU warm cache, a per-model dynamic micro-batcher that coalesces
-// concurrent requests under size and latency bounds, per-model worker
-// pools with bounded queues, and admission control that sheds load with a
+// LRU warm cache, per-model worker pools that drain a bounded request
+// queue work-conservingly (a free worker scores whatever calls are queued
+// as one batch, so batches form only under contention and an idle worker
+// takes a request at once), and admission control that sheds load with a
 // retryable overload error before queueing collapses into latency.
 //
 // The paper's capacity experiments (§VII-B) drive the deployed services
@@ -12,8 +13,8 @@
 // kernels in internal/ml), bounds concurrency to the hardware, and turns
 // overload into fast 429s instead of unbounded queueing.
 //
-// Time is injected via internal/clock so batching deadlines are exact
-// virtual timelines under test; telemetry (queue depth, batch size and
+// Time is injected via internal/clock so recorded latencies are exact
+// under a fake clock in tests; telemetry (queue depth, batch size and
 // latency, shed and eviction counters) records into an
 // internal/telemetry registry exposed at /metrics.
 package serving
@@ -35,19 +36,18 @@ import (
 // Config parameterizes the runtime. The zero value is usable: every
 // field falls back to the documented default.
 type Config struct {
-	// MaxBatch is the micro-batch size bound (default 64): a forming
-	// batch flushes as soon as it holds MaxBatch instances.
+	// MaxBatch bounds coalescing (default 64): a worker stops draining
+	// queued calls into its batch once the batch holds MaxBatch
+	// instances. Calls are never split, so a call larger than MaxBatch is
+	// scored whole and the last call drained may carry a batch past
+	// MaxBatch; the shed watermark caps every call's size.
 	MaxBatch int
-	// MaxWait is the micro-batch latency bound (default 2ms): a forming
-	// batch flushes when its oldest instance has waited MaxWait, full or
-	// not.
-	MaxWait time.Duration
 	// Workers is the per-model worker-pool size (default GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the per-model request queue (default 1024).
 	QueueDepth int
-	// ShedWatermark is the in-flight instance count (queued + batching +
-	// executing, per model) beyond which new requests are shed with an
+	// ShedWatermark is the in-flight instance count (queued + executing,
+	// per model) beyond which new requests are shed with an
 	// *OverloadedError (default 3/4 of QueueDepth, clamped to
 	// QueueDepth).
 	ShedWatermark int
@@ -58,9 +58,9 @@ type Config struct {
 	// (default 128 MiB): cold models deserialize on demand, least
 	// recently used models are evicted back to bytes.
 	WarmBytes int64
-	// Clock is the time source for batching deadlines and latency
-	// measurements; clock.Real() when nil. Tests install a clock.Fake
-	// and assert exact virtual timelines.
+	// Clock is the time source for latency measurements only (nothing
+	// in the runtime waits on it); clock.Real() when nil. Tests install a
+	// clock.Fake and assert exact recorded latencies.
 	Clock clock.Clock
 	// Telemetry is the metric registry serving metrics record into; a
 	// private registry is created when nil.
@@ -71,9 +71,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -161,44 +158,21 @@ func (r *Runtime) Registry() *Registry { return r.reg }
 // Telemetry returns the metric registry serving metrics record into.
 func (r *Runtime) Telemetry() *telemetry.Registry { return r.cfg.Telemetry }
 
-// item is one instance waiting for a prediction.
-type item struct {
-	x    []float64
-	out  int
-	at   time.Time
-	call *call
-}
-
-// call aggregates the results of one Predict invocation whose instances
-// may be spread over several batches and workers.
+// call is one Predict invocation, queued whole on its model's line. The
+// worker that scores it fills probs or err, then closes done.
 type call struct {
-	probs     [][]float64
-	remaining atomic.Int64
-	err       atomic.Pointer[error]
-	done      chan struct{}
-}
-
-func (c *call) deliver(i int, p []float64) {
-	c.probs[i] = p
-	if c.remaining.Add(-1) == 0 {
-		close(c.done)
-	}
-}
-
-func (c *call) fail(err error) {
-	c.err.CompareAndSwap(nil, &err)
-	if c.remaining.Add(-1) == 0 {
-		close(c.done)
-	}
+	x     [][]float64
+	at    time.Time
+	probs [][]float64
+	err   error
+	done  chan struct{}
 }
 
 // line is the serving pipeline of one content-addressed model: a bounded
-// request queue, a batcher goroutine coalescing it into micro-batches,
-// and a worker pool executing them.
+// queue of calls drained directly by a pool of workers.
 type line struct {
 	id       string
-	in       chan *item
-	work     chan []*item
+	queue    chan *call
 	inflight atomic.Int64
 }
 
@@ -213,14 +187,9 @@ func (r *Runtime) line(id string) (*line, error) {
 	if ln, ok := r.lines[id]; ok {
 		return ln, nil
 	}
-	ln := &line{
-		id:   id,
-		in:   make(chan *item, r.cfg.QueueDepth),
-		work: make(chan []*item, r.cfg.Workers),
-	}
+	ln := &line{id: id, queue: make(chan *call, r.cfg.QueueDepth)}
 	r.lines[id] = ln
-	r.wg.Add(1 + r.cfg.Workers)
-	go r.runBatcher(ln)
+	r.wg.Add(r.cfg.Workers)
 	for w := 0; w < r.cfg.Workers; w++ {
 		go r.runWorker(ln)
 	}
@@ -229,8 +198,9 @@ func (r *Runtime) line(id string) (*line, error) {
 
 // Predict scores instances against the model addressed by ref (a content
 // id, name@version, name@latest, or a promoted bare name), coalescing
-// them with concurrent callers into micro-batches. It returns one
-// probability row and one argmax class per instance.
+// them with concurrently queued callers into one batch when every worker
+// is busy. It returns one probability row and one argmax class per
+// instance.
 func (r *Runtime) Predict(ctx context.Context, ref string, instances [][]float64) ([][]float64, []int, error) {
 	id, err := r.reg.Resolve(ref)
 	if err != nil {
@@ -255,18 +225,12 @@ func (r *Runtime) Predict(ctx context.Context, ref string, instances [][]float64
 		return nil, nil, &OverloadedError{Ref: ref, Depth: int(depth - n), RetryAfter: r.cfg.RetryAfter}
 	}
 
-	c := &call{probs: make([][]float64, len(instances)), done: make(chan struct{})}
-	c.remaining.Store(n)
-	now := r.clk.Now()
-	slab := make([]item, len(instances))
-	for i, x := range instances {
-		slab[i] = item{x: x, out: i, at: now, call: c}
-		// The reservation above guarantees queue room (channel occupancy
-		// never exceeds in-flight, which the watermark caps at or below
-		// the queue capacity), so this send cannot block on a full queue —
-		// a bare send, not a select, keeps it off the slow path.
-		ln.in <- &slab[i]
-	}
+	c := &call{x: instances, at: r.clk.Now(), done: make(chan struct{})}
+	// The reservation above guarantees queue room (every queued call holds
+	// at least one reserved instance, and the watermark caps in-flight at
+	// or below the queue capacity), so this send cannot block on a full
+	// queue — a bare send, not a select, keeps it off the slow path.
+	ln.queue <- c
 
 	if ctxDone := ctx.Done(); ctxDone == nil {
 		// Background-style context: a two-way select keeps the hot path
@@ -285,102 +249,104 @@ func (r *Runtime) Predict(ctx context.Context, ref string, instances [][]float64
 			return nil, nil, ErrClosed
 		}
 	}
-	if ep := c.err.Load(); ep != nil {
-		return nil, nil, *ep
+	if c.err != nil {
+		return nil, nil, c.err
 	}
 	return c.probs, ml.ArgmaxAll(c.probs), nil
 }
 
-// runBatcher coalesces a line's queue into micro-batches: flush at
-// MaxBatch instances or when the first instance has waited MaxWait.
-func (r *Runtime) runBatcher(ln *line) {
-	defer r.wg.Done()
-	for {
-		var first *item
-		select {
-		case first = <-ln.in:
-		default:
-			// Queue idle: block until work or shutdown.
-			select {
-			case first = <-ln.in:
-			case <-r.stop:
-				return
-			}
-		}
-		batch := append(make([]*item, 0, r.cfg.MaxBatch), first)
-		deadline := r.clk.After(r.cfg.MaxWait)
-	collect:
-		for len(batch) < r.cfg.MaxBatch {
-			// Drain already-queued items with a cheap non-blocking
-			// receive; fall into the full select (deadline, shutdown)
-			// only when the queue is momentarily empty.
-			select {
-			case it := <-ln.in:
-				batch = append(batch, it)
-				continue
-			default:
-			}
-			select {
-			case it := <-ln.in:
-				batch = append(batch, it)
-			case <-deadline:
-				break collect
-			case <-r.stop:
-				return
-			}
-		}
-		select {
-		case ln.work <- batch:
-		case <-r.stop:
-			return
-		}
-	}
-}
-
-// runWorker executes dispatched batches.
+// runWorker serves a line work-conservingly: it blocks for one call, then
+// drains the calls already queued behind it until the batch holds
+// MaxBatch instances, and scores them together. Batches therefore form
+// only while every worker is busy; an idle worker scores a lone call at
+// once.
 func (r *Runtime) runWorker(ln *line) {
 	defer r.wg.Done()
+	batch := make([]*call, 0, r.cfg.MaxBatch)
 	for {
+		var c *call
 		select {
-		case batch := <-ln.work:
-			r.execute(ln, batch)
+		case c = <-ln.queue:
 		case <-r.stop:
 			return
 		}
+		batch = append(batch[:0], c)
+		n := len(c.x)
+	drain:
+		for n < r.cfg.MaxBatch {
+			select {
+			case c := <-ln.queue:
+				batch = append(batch, c)
+				n += len(c.x)
+			default:
+				break drain
+			}
+		}
+		r.execute(ln, batch, n)
+		// Drop the completed calls so they are not kept alive until the
+		// next batch overwrites them.
+		clear(batch)
 	}
 }
 
-// execute scores one batch and delivers per-item results. A model error
-// (or a prediction panic, e.g. a dimension mismatch) fails every item's
-// call instead of crashing the worker.
-func (r *Runtime) execute(ln *line, batch []*item) {
-	first := batch[0].at
-	probs, err := r.scoreBatch(ln.id, batch)
+// execute scores one batch of n instances and completes every call in it.
+// A coalesced batch that fails (a model error, or a prediction panic such
+// as one call's too-wide row) is split in halves and each half executed
+// on its own, down to single calls, so only the offending call gets the
+// error and every other call its own answer.
+func (r *Runtime) execute(ln *line, batch []*call, n int) {
+	first := batch[0]
+	if len(batch) == 1 {
+		first.probs, first.err = r.scoreBatch(ln.id, first.x)
+	} else {
+		probs, err := r.scoreBatch(ln.id, concatRows(batch, n))
+		if err != nil {
+			h := len(batch) / 2
+			m := 0
+			for _, c := range batch[:h] {
+				m += len(c.x)
+			}
+			r.execute(ln, batch[:h], m)
+			r.execute(ln, batch[h:], n-m)
+			return
+		}
+		for _, c := range batch {
+			k := len(c.x)
+			// Reslice hint: slicing the rest first bounds k by len(probs),
+			// so the call's own rows need no second check.
+			rest := probs[k:]
+			c.probs, probs = probs[:k:k], rest
+		}
+	}
 	// Accounting precedes delivery: a Predict caller wakes the moment its
-	// result lands, and anything it then reads (in-flight count, batch
+	// call completes, and anything it then reads (in-flight count, batch
 	// histograms) must already reflect this batch.
-	ln.inflight.Add(-int64(len(batch)))
-	if err == nil {
+	ln.inflight.Add(-int64(n))
+	if first.err == nil {
 		// Counted here, once per batch, rather than per call: every
 		// instance in the batch was scored.
-		r.met.predictions.Add(float64(len(batch)))
+		r.met.predictions.Add(float64(n))
 	}
-	r.met.batchSize.Observe(float64(len(batch)))
-	r.met.batchLatency.Observe(r.clk.Since(first).Seconds())
-	if err != nil {
-		for _, it := range batch {
-			it.call.fail(err)
-		}
-		return
-	}
-	// Reslice hint: scoreBatch returns one row per item on success.
-	probs = probs[:len(batch)]
-	for i, it := range batch {
-		it.call.deliver(it.out, probs[i])
+	r.met.batchSize.Observe(float64(n))
+	r.met.batchLatency.Observe(r.clk.Since(first.at).Seconds())
+	for _, c := range batch {
+		close(c.done)
 	}
 }
 
-func (r *Runtime) scoreBatch(id string, batch []*item) (probs [][]float64, err error) {
+// concatRows gathers the instances of a coalesced batch into one slice.
+func concatRows(batch []*call, n int) [][]float64 {
+	X := make([][]float64, 0, n)
+	for _, c := range batch {
+		X = append(X, c.x...)
+	}
+	return X
+}
+
+// scoreBatch scores rows with one ml.PredictProbaAll call. A model error
+// or a prediction panic (e.g. a dimension mismatch) becomes an error
+// instead of crashing the worker.
+func (r *Runtime) scoreBatch(id string, rows [][]float64) (probs [][]float64, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("serving: predict panic: %v", rec)
@@ -390,11 +356,7 @@ func (r *Runtime) scoreBatch(id string, batch []*item) (probs [][]float64, err e
 	if err != nil {
 		return nil, err
 	}
-	X := make([][]float64, len(batch))
-	for i, it := range batch {
-		X[i] = it.x
-	}
-	return ml.PredictProbaAll(model, X), nil
+	return ml.PredictProbaAll(model, rows), nil
 }
 
 // InFlight reports the total in-flight instance count across every model
@@ -425,8 +387,8 @@ func (r *Runtime) InFlightFor(ref string) int {
 	return int(ln.inflight.Load())
 }
 
-// Close stops every batcher and worker and fails pending Predict calls
-// with ErrClosed. It is idempotent.
+// Close stops every worker and fails pending Predict calls with
+// ErrClosed. It is idempotent.
 func (r *Runtime) Close() {
 	r.mu.Lock()
 	if r.closed {
